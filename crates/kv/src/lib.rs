@@ -59,6 +59,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod bucket;
 pub mod checkpoint;
 pub mod memtable;
 pub mod recover;

@@ -4,10 +4,15 @@
 //! ## Data layout
 //!
 //! Keys hash (FNV-1a) to one of `shards` shards; within a shard, to one of
-//! `buckets_per_shard` buckets. A bucket is an immutable sorted
-//! `Arc<Vec<(key, value)>>` held in a `TVar` — updates clone-and-replace
-//! the vector, which keeps `TVar`'s `Clone` cheap (an `Arc` bump) for
-//! readers and gives point lookups a binary search.
+//! `buckets_per_shard` buckets. A bucket is one immutable allocation of
+//! `(hash, key, value)` entries sorted by `(hash, key)`, held in a `TVar`
+//! (see `bucket.rs`). A point read computes the key's hash once —
+//! it picks the shard and the bucket — and then binary-searches the
+//! bucket's inline hashes, comparing keys only where hashes tie, so it
+//! dereferences at most one key instead of one per probe. Updates
+//! clone-and-replace the bucket, which keeps `TVar`'s `Clone` cheap (an
+//! `Arc` bump) for readers. Scans and `dump` re-sort by key; they walk
+//! every bucket anyway.
 //!
 //! Each shard (not each bucket) is a [`Defer`]-wrapped object: transactions
 //! reach the bucket `TVar`s through [`Defer::with`], which subscribes to
@@ -40,6 +45,7 @@ use ad_support::sync::atomic::{AtomicU64, Ordering};
 
 use ad_support::sync::{Condvar, Mutex};
 
+use crate::bucket::{self, Bucket, Entry};
 use crate::checkpoint::{
     snapshot_paths, Checkpointer, CkptPolicy, CkptReport, CkptStats, FileSnapshots, SnapshotStore,
 };
@@ -174,9 +180,6 @@ impl WriteBatch {
     }
 }
 
-/// A sorted immutable bucket; updates clone-and-replace.
-type Bucket = Arc<Vec<(Arc<str>, Arc<[u8]>)>>;
-
 /// One shard: the deferrable unit. Its implicit `TxLock` (via `Defer`)
 /// is what deferred WAL appends hold.
 struct Shard {
@@ -283,13 +286,16 @@ impl Drop for KvStore {
     }
 }
 
-fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+/// `(shard, bucket, hash)` of `key` in a store of `shards` shards with
+/// `buckets_per_shard` buckets each: the low hash half picks the shard,
+/// the high half the bucket, and the whole hash orders the bucket.
+fn locate_in(key: &str, shards: usize, buckets_per_shard: usize) -> (usize, usize, u64) {
+    let h = bucket::fnv1a64(key.as_bytes());
+    (
+        (h as u32 as usize) % shards,
+        ((h >> 32) as usize) % buckets_per_shard,
+        h,
+    )
 }
 
 impl KvStore {
@@ -547,21 +553,20 @@ impl KvStore {
             _ => TmConfig::stm(),
         };
         // Bulk-load the snapshot's base image straight into the buckets
-        // (the store is not yet shared, and BTreeMap order means each
-        // bucket's subsequence is already sorted); the WAL suffix then
-        // replays transactionally, one record per transaction, exactly
-        // like the pre-checkpoint recovery path — deterministic replay,
-        // monotonic versions.
-        type BucketLoad = Vec<(Arc<str>, Arc<[u8]>)>;
-        let mut bucket_data: Vec<Vec<BucketLoad>> =
+        // (the store is not yet shared; each bucket is sorted into
+        // `(hash, key)` order once); the WAL suffix then replays
+        // transactionally, one record per transaction, exactly like the
+        // pre-checkpoint recovery path — deterministic replay, monotonic
+        // versions.
+        let mut bucket_data: Vec<Vec<Vec<Entry>>> =
             vec![vec![Vec::new(); buckets_per_shard]; shards];
         for (k, v) in &base {
-            let h = fnv1a64(k.as_bytes());
-            let (si, bi) = (
-                (h as u32 as usize) % shards,
-                ((h >> 32) as usize) % buckets_per_shard,
-            );
-            bucket_data[si][bi].push((Arc::clone(k), Arc::clone(v)));
+            let (si, bi, hash) = locate_in(k, shards, buckets_per_shard);
+            bucket_data[si][bi].push(Entry {
+                hash,
+                key: Arc::clone(k),
+                value: Arc::clone(v),
+            });
         }
         let snapshot_cut = recovery.as_ref().map_or(0, |r| r.snapshot_cut);
         let store = KvStore {
@@ -572,7 +577,7 @@ impl KvStore {
                     Defer::new(Shard {
                         buckets: buckets
                             .into_iter()
-                            .map(|entries| TVar::new(Arc::new(entries)))
+                            .map(|entries| TVar::new(bucket::from_unsorted(entries)))
                             .collect(),
                     })
                 })
@@ -695,45 +700,27 @@ impl KvStore {
         store
     }
 
-    fn locate(&self, key: &str) -> (usize, usize) {
-        let h = fnv1a64(key.as_bytes());
-        (
-            (h as u32 as usize) % self.shards.len(),
-            ((h >> 32) as usize) % self.buckets_per_shard,
-        )
+    /// `(shard, bucket, hash)` of `key`.
+    fn locate(&self, key: &str) -> (usize, usize, u64) {
+        locate_in(key, self.shards.len(), self.buckets_per_shard)
     }
 
     fn read_in_tx(&self, tx: &mut Tx, key: &str) -> StmResult<Option<Arc<[u8]>>> {
-        let (si, bi) = self.locate(key);
+        let (si, bi, hash) = self.locate(key);
         self.shards[si].with(tx, |shard, tx| {
-            let bucket = tx.read(&shard.buckets[bi])?;
-            Ok(bucket
-                .binary_search_by(|(k, _)| (**k).cmp(key))
+            let b = tx.read(&shard.buckets[bi])?;
+            Ok(bucket::find(&b, hash, key)
                 .ok()
-                .map(|pos| Arc::clone(&bucket[pos].1)))
+                .map(|pos| Arc::clone(&b[pos].value)))
         })
     }
 
     fn apply_in_tx(&self, tx: &mut Tx, key: &str, value: Option<&[u8]>) -> StmResult<()> {
-        let (si, bi) = self.locate(key);
+        let (si, bi, hash) = self.locate(key);
         self.shards[si].with(tx, |shard, tx| {
             let var = &shard.buckets[bi];
-            let bucket = tx.read(var)?;
-            let mut entries = (*bucket).clone();
-            match entries.binary_search_by(|(k, _)| (**k).cmp(key)) {
-                Ok(pos) => match value {
-                    Some(v) => entries[pos].1 = Arc::from(v),
-                    None => {
-                        entries.remove(pos);
-                    }
-                },
-                Err(pos) => {
-                    if let Some(v) = value {
-                        entries.insert(pos, (Arc::from(key), Arc::from(v)));
-                    }
-                }
-            }
-            tx.write(var, Arc::new(entries))
+            let b = tx.read(var)?;
+            tx.write(var, bucket::with_applied(&b, hash, key, value))
         })
     }
 
@@ -1146,9 +1133,9 @@ impl KvStore {
                 shard.with(tx, |s, tx| {
                     for var in &s.buckets {
                         let bucket = tx.read(var)?;
-                        for (k, v) in bucket.iter() {
-                            if k.as_ref() >= start {
-                                all.push((Arc::clone(k), Arc::clone(v)));
+                        for e in bucket.iter() {
+                            if &*e.key >= start {
+                                all.push((Arc::clone(&e.key), Arc::clone(&e.value)));
                             }
                         }
                     }
@@ -1170,8 +1157,8 @@ impl KvStore {
                 shard.with(tx, |s, tx| {
                     for var in &s.buckets {
                         let bucket = tx.read(var)?;
-                        for (k, v) in bucket.iter() {
-                            out.insert(k.to_string(), v.to_vec());
+                        for e in bucket.iter() {
+                            out.insert(e.key.to_string(), e.value.to_vec());
                         }
                     }
                     Ok(())

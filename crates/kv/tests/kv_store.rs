@@ -3,7 +3,7 @@
 //! through the full `atomic_defer` path (not just the WAL in isolation).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use ad_kv::{KvConfig, KvStore, MemMedium, SyncPolicy, WriteBatch};
 use ad_support::sync::atomic::{AtomicBool, Ordering};
@@ -11,31 +11,42 @@ use ad_support::sync::atomic::{AtomicBool, Ordering};
 /// Observers must never see half of a cross-shard batch. The writer keeps
 /// two keys equal (they hash to different shards with overwhelming
 /// probability across 64 names); `get_many` reads both in one transaction.
+/// The writer starts only once every observer has completed a read, so
+/// the writes always overlap running observers.
 #[test]
 fn cross_shard_batches_are_atomic_to_readers() {
+    const OBSERVERS: usize = 3;
     let store = Arc::new(KvStore::open(KvConfig::volatile()).unwrap());
     store.write_batch(&WriteBatch::new().put("left", "0").put("right", "0"));
     let stop = Arc::new(AtomicBool::new(false));
+    let ready = Arc::new(Barrier::new(OBSERVERS + 1));
 
-    let observers: Vec<_> = (0..3)
+    let observers: Vec<_> = (0..OBSERVERS)
         .map(|_| {
             let store = Arc::clone(&store);
             let stop = Arc::clone(&stop);
+            let ready = Arc::clone(&ready);
             std::thread::spawn(move || {
                 let mut checked = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     let pair = store.get_many(&["left", "right"]);
                     assert_eq!(
                         pair[0], pair[1],
                         "torn batch observed after {checked} reads"
                     );
                     checked += 1;
+                    if checked == 1 {
+                        ready.wait();
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        return checked;
+                    }
                 }
-                checked
             })
         })
         .collect();
 
+    ready.wait();
     for i in 1..=200u32 {
         let v = i.to_string();
         store.write_batch(&WriteBatch::new().put("left", v.clone()).put("right", v));

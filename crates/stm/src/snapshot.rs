@@ -13,12 +13,14 @@
 //!
 //! [`SnapshotCell`] replaces the lock with a single `AtomicPtr` to a
 //! heap-allocated `Value` (an `Arc<dyn Any + Send + Sync>`). Readers load
-//! the pointer and clone the `Arc` behind it; writers (who already hold the
-//! cell's version lock, so there is exactly one at a time) swap in a new
-//! pointer. The old allocation cannot be freed immediately — a reader may
-//! have loaded the pointer and not yet finished cloning — so retired
-//! pointers go through a small epoch-based reclamation scheme
-//! (`crossbeam-epoch`-style, hand-rolled because this build is offline).
+//! the pointer and borrow the value behind it in place
+//! ([`SnapshotCell::read`]), cloning out only what they need; writers
+//! (who already hold the cell's version lock, so there is exactly one at
+//! a time) swap in a new pointer. The old allocation cannot be freed
+//! immediately — a reader may have loaded the pointer and still be
+//! reading through it — so retired pointers go through a small
+//! epoch-based reclamation scheme (`crossbeam-epoch`-style, hand-rolled
+//! because this build is offline).
 //!
 //! ## The epoch scheme
 //!
@@ -26,8 +28,9 @@
 //!   has observed the current epoch.
 //! * Each thread registers a participant slot. A reader *pins* (publishes
 //!   the global epoch into its slot, with a `SeqCst` fence so the publish
-//!   cannot reorder after the subsequent pointer load), performs the load +
-//!   clone, then *unpins* (stores the `INACTIVE` sentinel).
+//!   cannot reorder after the subsequent pointer load), performs the load
+//!   and its borrow of the value, then *unpins* (stores the `INACTIVE`
+//!   sentinel).
 //! * A writer retires the old pointer into a thread-local bag. The
 //!   retirement runs *pinned* (so it works on the non-transactional
 //!   `direct_write` path too, which carries no transaction-scope pin) and
@@ -512,61 +515,50 @@ impl SnapshotCell {
         }
     }
 
-    /// Snapshot the current value (an `Arc` clone). Lock-free: the only
-    /// shared-memory writes are the participant pin/unpin stores and the
-    /// `Arc` refcount increment — and under an enclosing [`EpochGuard`]
-    /// (the transaction-attempt pin) even those reduce to a thread-local
-    /// depth increment.
+    /// Run `f` on the current value, borrowed in place. Lock-free and
+    /// free of shared-memory writes apart from the participant pin/unpin
+    /// stores — and under an enclosing [`EpochGuard`] (the
+    /// transaction-attempt pin) even those reduce to a thread-local depth
+    /// increment. No refcount is touched: callers that need an owned copy
+    /// clone out of the borrow (`Tx::read` clones the `T`, `Tx::read_arc`
+    /// the `Arc`).
+    ///
+    /// `f` runs pinned but outside the thread-local registry borrow, so it
+    /// may itself read other cells; if it panics, the pin guard unwinds
+    /// with it and the thread is left unpinned.
     #[inline]
-    pub(crate) fn load(&self) -> Value {
-        HANDLE
-            .try_with(|h| {
-                let mut h = h.borrow_mut();
-                h.pin();
-                let p = self.ptr.load(Ordering::Acquire);
-                // Model builds: a scheduling point *between* the pointer
-                // load and the dereference (exactly the window the epoch
-                // pin must protect), then a use-after-free check against
-                // the poison registry. The `reader_window` turnstile is
-                // inert unless a staged regression scenario armed it.
-                #[cfg(loom)]
-                model_hooks::reader_window();
-                #[cfg(loom)]
-                ad_support::model::assert_not_poisoned(p as usize, "SnapshotCell::load");
-                // SAFETY: `p` was published by `new`/`store` (invariant 1)
-                // and this thread is pinned, so reclamation cannot have
-                // freed it (invariant 2, two-epoch rule).
-                let val = unsafe { (*p).clone() };
-                h.unpin();
-                val
-            })
-            .unwrap_or_else(|_| self.load_slow())
+    pub(crate) fn read<R>(&self, f: impl FnOnce(&Value) -> R) -> R {
+        let pin = pin_scope();
+        if !pin.pinned {
+            return self.read_teardown_path(f);
+        }
+        let p = self.ptr.load(Ordering::Acquire);
+        // Model builds: a scheduling point *between* the pointer load and
+        // the dereference (exactly the window the epoch pin must protect),
+        // then a use-after-free check against the poison registry. The
+        // `reader_window` turnstile is inert unless a staged regression
+        // scenario armed it.
+        #[cfg(loom)]
+        model_hooks::reader_window();
+        #[cfg(loom)]
+        ad_support::model::assert_not_poisoned(p as usize, "SnapshotCell::read");
+        // SAFETY: `p` was published by `new`/`store` (invariant 1) and
+        // `pin` keeps this thread pinned until after `f` returns or
+        // unwinds, so reclamation cannot free it (invariant 2, two-epoch
+        // rule).
+        f(unsafe { &*p })
     }
 
     /// Fallback for reads during thread-local destruction (the `HANDLE`
-    /// slot is gone): register a one-shot participant so the epoch
-    /// invariant still protects the load.
+    /// slot is gone): a one-shot participant protects the borrow instead.
     #[cold]
-    fn load_slow(&self) -> Value {
-        let part = Arc::new(Participant {
-            epoch: AtomicU64::new(INACTIVE),
-        });
-        PARTICIPANTS.lock().push(Arc::clone(&part));
-        let e = EPOCH.load(Ordering::Relaxed);
-        part.epoch.store(e, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
+    fn read_teardown_path<R>(&self, f: impl FnOnce(&Value) -> R) -> R {
+        let _pin = OneShotPin::pin();
         let p = self.ptr.load(Ordering::Acquire);
         #[cfg(loom)]
-        ad_support::model::assert_not_poisoned(p as usize, "SnapshotCell::load_slow");
-        // SAFETY: as in `load` — pinned via the temporary participant.
-        let val = unsafe { (*p).clone() };
-        part.epoch.store(INACTIVE, Ordering::Release);
-        let mut parts = PARTICIPANTS.lock();
-        if let Some(i) = parts.iter().position(|q| Arc::ptr_eq(q, &part)) {
-            parts.swap_remove(i);
-        }
-        drop(parts);
-        val
+        ad_support::model::assert_not_poisoned(p as usize, "SnapshotCell::read_teardown_path");
+        // SAFETY: as in `read` — pinned via the one-shot participant.
+        f(unsafe { &*p })
     }
 
     /// Replace the value, retiring the previous allocation.
@@ -653,28 +645,43 @@ impl SnapshotCell {
     /// participant as the pin, and donate straight to the orphan list.
     #[cold]
     fn store_teardown_path(&self, new: *mut Value) {
+        let _pin = OneShotPin::pin();
+        let old = self.ptr.swap(new, Ordering::AcqRel);
+        fence(Ordering::SeqCst);
+        let epoch = EPOCH.load(Ordering::Relaxed);
         {
-            let part = Arc::new(Participant {
-                epoch: AtomicU64::new(INACTIVE),
-            });
-            PARTICIPANTS.lock().push(Arc::clone(&part));
-            let e = EPOCH.load(Ordering::Relaxed);
-            part.epoch.store(e, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            let old = self.ptr.swap(new, Ordering::AcqRel);
-            fence(Ordering::SeqCst);
-            let epoch = EPOCH.load(Ordering::Relaxed);
-            {
-                let mut orphans = ORPHANS.lock();
-                orphans.push(Retired { ptr: old, epoch });
-                HAS_ORPHANS.store(true, Ordering::Relaxed);
-            }
-            RETIRED_TOTAL.fetch_add(1, Ordering::Relaxed);
-            part.epoch.store(INACTIVE, Ordering::Release);
-            let mut parts = PARTICIPANTS.lock();
-            if let Some(i) = parts.iter().position(|q| Arc::ptr_eq(q, &part)) {
-                parts.swap_remove(i);
-            }
+            let mut orphans = ORPHANS.lock();
+            orphans.push(Retired { ptr: old, epoch });
+            HAS_ORPHANS.store(true, Ordering::Relaxed);
+        }
+        RETIRED_TOTAL.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A participant registered and pinned for a single operation while the
+/// thread-local `HANDLE` is being destroyed; deregistered on drop, so an
+/// unwinding caller cannot leave it pinned.
+struct OneShotPin(Arc<Participant>);
+
+impl OneShotPin {
+    fn pin() -> OneShotPin {
+        let part = Arc::new(Participant {
+            epoch: AtomicU64::new(INACTIVE),
+        });
+        PARTICIPANTS.lock().push(Arc::clone(&part));
+        part.epoch
+            .store(EPOCH.load(Ordering::Relaxed), Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        OneShotPin(part)
+    }
+}
+
+impl Drop for OneShotPin {
+    fn drop(&mut self) {
+        self.0.epoch.store(INACTIVE, Ordering::Release);
+        let mut parts = PARTICIPANTS.lock();
+        if let Some(i) = parts.iter().position(|q| Arc::ptr_eq(q, &self.0)) {
+            parts.swap_remove(i);
         }
     }
 }
@@ -699,6 +706,27 @@ impl Drop for SnapshotCell {
     }
 }
 
+/// Collect this thread's bag unconditionally (adopt orphans, attempt one
+/// epoch advance, free everything past the two-epoch horizon). Tests and
+/// models cannot rely on the threshold/period heuristics of [`flush`].
+#[cfg(any(test, loom))]
+pub(crate) fn force_collect() {
+    let garbage = HANDLE
+        .try_with(|h| {
+            let mut h = h.borrow_mut();
+            h.advance_failed_at = NO_FAILED_ADVANCE;
+            collect(&mut h)
+        })
+        .unwrap_or_default();
+    free_garbage(garbage);
+}
+
+/// This thread's current pin depth (0 = unpinned).
+#[cfg(all(test, not(loom)))]
+pub(crate) fn pin_depth() -> u32 {
+    HANDLE.with(|h| h.borrow().depth)
+}
+
 /// Model-checking hooks: the `verify` suite needs to drive collection and
 /// epoch advancement at chosen scheduling points rather than through the
 /// `flush` threshold/period heuristics.
@@ -709,19 +737,7 @@ impl Drop for SnapshotCell {
 pub(crate) mod model_hooks {
     use super::*;
 
-    /// Collect this thread's bag unconditionally (adopt orphans, attempt
-    /// one epoch advance, free — i.e. poison — everything past the
-    /// two-epoch horizon).
-    pub(crate) fn force_collect() {
-        let garbage = HANDLE
-            .try_with(|h| {
-                let mut h = h.borrow_mut();
-                h.advance_failed_at = NO_FAILED_ADVANCE;
-                collect(&mut h)
-            })
-            .unwrap_or_default();
-        free_garbage(garbage);
-    }
+    pub(crate) use super::force_collect;
 
     /// Attempt one epoch advance; returns the (possibly advanced) epoch.
     pub(crate) fn advance() -> u64 {
@@ -831,25 +847,12 @@ mod tests {
         *v.downcast_ref::<u64>().unwrap()
     }
 
-    /// Collect this thread's bag unconditionally (tests cannot rely on the
-    /// threshold/period heuristics of `flush`).
-    fn force_collect() {
-        let garbage = HANDLE
-            .try_with(|h| {
-                let mut h = h.borrow_mut();
-                h.advance_failed_at = NO_FAILED_ADVANCE;
-                collect(&mut h)
-            })
-            .unwrap_or_default();
-        free_garbage(garbage);
-    }
-
     #[test]
     fn load_store_roundtrip() {
         let cell = SnapshotCell::new(new_value(7u64));
-        assert_eq!(get_u64(&cell.load()), 7);
+        assert_eq!(cell.read(get_u64), 7);
         cell.store(new_value(8u64));
-        assert_eq!(get_u64(&cell.load()), 8);
+        assert_eq!(cell.read(get_u64), 8);
     }
 
     #[test]
@@ -860,7 +863,7 @@ mod tests {
         // (`verify::snapshot_model`) rather than a unit test to catch.
         let cell = SnapshotCell::new(new_value(1u64));
         cell.store_weak_tag(new_value(2u64));
-        assert_eq!(get_u64(&cell.load()), 2);
+        assert_eq!(cell.read(get_u64), 2);
         flush();
     }
 
@@ -872,7 +875,7 @@ mod tests {
         let cell = SnapshotCell::new(new_value(0u64));
         for i in 0..(COLLECT_THRESHOLD as u64 * 8) {
             cell.store(new_value(i));
-            assert_eq!(get_u64(&cell.load()), i);
+            assert_eq!(cell.read(get_u64), i);
             flush();
         }
     }
@@ -991,7 +994,7 @@ mod tests {
             let stop = Arc::clone(&stop);
             readers.push(std::thread::spawn(move || {
                 while stop.load(Ordering::Relaxed) == 0 {
-                    let _ = cell.load();
+                    cell.read(|_| ());
                 }
             }));
         }
@@ -1005,6 +1008,6 @@ mod tests {
         for r in readers {
             r.join().unwrap();
         }
-        assert_eq!(get_u64(&cell.load()), 19_999);
+        assert_eq!(cell.read(get_u64), 19_999);
     }
 }

@@ -8,15 +8,30 @@
 //! paper §2) execute with the runtime's serial lock held exclusively and
 //! access memory directly.
 //!
+//! ## Reads write no shared memory
+//!
+//! [`Tx::read`] clones its `T` straight out of the committed value,
+//! borrowed under the transaction attempt's epoch pin
+//! ([`VarCore::read_consistent`]): the type-erased value's `Arc` refcount
+//! is never touched and nothing is cached, so the read's only
+//! shared-memory write is whatever `T::clone` itself does. The descriptor
+//! records only the version each variable was first read at; a re-read
+//! reads the cell again and must find that same version, otherwise the
+//! attempt conflicts (opacity: a transaction never observes two states of
+//! one variable). A variable this transaction has written is read from
+//! the write set instead, the buffered value downcast in place.
+//! [`Tx::read_arc`] takes the same path and clones the `Arc` out of the
+//! borrow.
+//!
 //! ## Descriptor reuse
 //!
 //! A `Tx` does not own its collections: it borrows a [`TxBuffers`] bundle
 //! that the runner checks out of a thread-local pool once per
 //! `atomically` call and threads through every attempt. Re-executing after
-//! a conflict therefore allocates nothing — the read set, read cache,
-//! write set and commit scratch vectors are cleared, not dropped, and
-//! their capacities persist across attempts *and* across transactions on
-//! the same thread. The read and write sets are [`SmallMap`]s: inline
+//! a conflict therefore allocates nothing — the read set, read-version
+//! index, write set and commit scratch vectors are cleared, not dropped,
+//! and their capacities persist across attempts *and* across transactions
+//! on the same thread. The read and write sets are [`SmallMap`]s: inline
 //! linear scans at the common small sizes, hash maps only when a
 //! transaction grows past [`crate::smallmap::INLINE_CAP`] variables.
 
@@ -77,8 +92,9 @@ pub(crate) struct TxBuffers {
     /// Variables read, with the version observed. In serial mode this only
     /// feeds the `retry` watch list.
     read_set: Vec<(Arc<VarCore>, u64)>,
-    /// First-read values, so re-reads observe a stable snapshot (opacity).
-    read_cache: SmallMap<Value>,
+    /// Version recorded by each variable's first read, indexed by id: a
+    /// re-read must see the same version (opacity) — see [`Tx::read`].
+    read_versions: SmallMap<u64>,
     /// Buffered writes (speculative mode only).
     write_set: SmallMap<(Arc<VarCore>, Value)>,
     /// Deferred operations queued by `atomic_defer` (via ad-defer).
@@ -102,7 +118,7 @@ impl TxBuffers {
     fn new_boxed() -> Box<TxBuffers> {
         Box::new(TxBuffers {
             read_set: Vec::new(),
-            read_cache: SmallMap::default(),
+            read_versions: SmallMap::default(),
             write_set: SmallMap::default(),
             post_commit: Vec::new(),
             post_commit_ts: Vec::new(),
@@ -116,7 +132,7 @@ impl TxBuffers {
     /// Clear every collection, keeping capacities.
     fn reset(&mut self) {
         self.read_set.clear();
-        self.read_cache.clear();
+        self.read_versions.clear();
         self.write_set.clear();
         self.post_commit.clear();
         self.post_commit_ts.clear();
@@ -247,9 +263,13 @@ impl<'rt> Tx<'rt> {
     }
 
     /// Read a transactional variable (clones the value out).
+    ///
+    /// The `T` is cloned straight out of the epoch-pinned committed value
+    /// (or out of this transaction's buffered write), so the read itself
+    /// writes no shared memory — `T::clone` is the only cost beyond the
+    /// version checks. Store `Arc<U>` inside the `TVar` when `U` is large.
     pub fn read<T: Any + Send + Sync + Clone>(&mut self, var: &TVar<T>) -> StmResult<T> {
-        let val = self.read_value(var.core())?;
-        Ok(downcast::<T>(&val))
+        self.read_with(var.core(), downcast::<T>)
     }
 
     /// Read a transactional variable without cloning its contents: returns
@@ -258,35 +278,52 @@ impl<'rt> Tx<'rt> {
     /// The handle stays valid after commit/abort — it is a snapshot, not a
     /// reference into the variable.
     pub fn read_arc<T: Any + Send + Sync>(&mut self, var: &TVar<T>) -> StmResult<Arc<T>> {
-        let val = self.read_value(var.core())?;
+        let val = self.read_with(var.core(), Arc::clone)?;
         Ok(val
             .downcast::<T>()
             .unwrap_or_else(|_| panic!("ad-stm internal error: TVar value has wrong type")))
     }
 
-    /// The common read path: consistent snapshot + read-set bookkeeping,
-    /// returning the type-erased value.
-    fn read_value(&mut self, core: &Arc<VarCore>) -> StmResult<Value> {
+    /// The common read path: a consistent snapshot of `core` handed to `f`
+    /// by reference, plus read-set bookkeeping.
+    ///
+    /// A re-read of a variable already in the read set reads it again and
+    /// requires the version recorded by the first read: a different
+    /// version means a commit landed in between, and returning its value
+    /// would show this transaction two states (opacity), so the attempt
+    /// conflicts instead.
+    fn read_with<R>(
+        &mut self,
+        core: &Arc<VarCore>,
+        mut f: impl FnMut(&Value) -> R,
+    ) -> StmResult<R> {
         if self.mode == ExecMode::Serial {
-            let (v, val) = core.read_consistent();
+            let (v, r) = core.read_consistent(f);
             self.bufs.read_set.push((Arc::clone(core), v));
-            return Ok(val);
+            return Ok(r);
         }
         let id = core.id();
         self.charge_var_access(id)?;
         if let Some((_, val)) = self.bufs.write_set.get(id) {
-            return Ok(val.clone());
+            return Ok(f(val));
         }
-        if let Some(val) = self.bufs.read_cache.get(id) {
-            return Ok(val.clone());
+        let (v1, r) = core.read_consistent(&mut f);
+        if let Some(&seen) = self.bufs.read_versions.get(id) {
+            if v1 != seen {
+                if self.obs {
+                    self.rt
+                        .trace_event(crate::trace::EventKind::ValidateFail, id as u64);
+                }
+                return Err(StmError::Conflict);
+            }
+            return Ok(r);
         }
-        let (v1, val) = core.read_consistent();
         if v1 > self.rv {
             self.extend_snapshot(v1)?;
             debug_assert!(v1 <= self.rv);
         }
         self.bufs.read_set.push((Arc::clone(core), v1));
-        self.bufs.read_cache.insert(id, val.clone());
+        self.bufs.read_versions.insert(id, v1);
         if self.obs {
             // Sampled at power-of-two sizes from 32 up: a large read-only
             // scan leaves a growth curve, while short transactions — whose
@@ -300,7 +337,7 @@ impl<'rt> Tx<'rt> {
                     .trace_event(crate::trace::EventKind::ReadSetGrow, n as u64);
             }
         }
-        Ok(val)
+        Ok(r)
     }
 
     /// Write a transactional variable. Buffered until commit in speculative
@@ -735,5 +772,87 @@ impl std::fmt::Debug for Tx<'_> {
             .field("writes", &self.bufs.write_set.len())
             .field("deferred", &self.bufs.post_commit.len())
             .finish()
+    }
+}
+
+#[cfg(all(test, not(loom)))]
+mod tests {
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    use crate::{Runtime, TVar, TmConfig};
+
+    /// A commit that lands between two reads of the same variable in one
+    /// attempt must not surface as two different values: the re-read
+    /// sees a version other than the recorded one and the attempt
+    /// conflicts, so the transaction retries and returns one state.
+    #[test]
+    fn re_read_after_a_concurrent_commit_retries() {
+        let rt = Arc::new(Runtime::new(TmConfig::stm()));
+        let v = TVar::new(0u64);
+        let attempts = AtomicUsize::new(0);
+        let writer = RefCell::new(None);
+        let (first, second) = rt.atomically(|tx| {
+            let first = tx.read(&v)?;
+            if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
+                let (rt2, v2) = (Arc::clone(&rt), v.clone());
+                *writer.borrow_mut() = Some(std::thread::spawn(move || {
+                    rt2.atomically(|tx| tx.write(&v2, 1));
+                }));
+                // Wait for the write-back, not for the thread: the
+                // writer's quiescence waits for this very attempt.
+                while v.load() != 1 {
+                    std::thread::yield_now();
+                }
+            }
+            let second = tx.read(&v)?;
+            Ok((first, second))
+        });
+        writer.take().expect("writer spawned").join().unwrap();
+        assert_eq!((first, second), (1, 1));
+        assert!(attempts.load(Ordering::SeqCst) >= 2);
+        assert!(rt.stats().aborts_conflict >= 1);
+    }
+
+    /// A `T::clone` that panics inside `tx.read` unwinds through the read
+    /// pin and the attempt pin: the thread is left unpinned, so epochs
+    /// still advance past its later retirements and they are freed.
+    #[test]
+    fn panicking_clone_in_read_leaves_the_thread_unpinned() {
+        struct PanicOnClone;
+        impl Clone for PanicOnClone {
+            fn clone(&self) -> Self {
+                panic!("clone refused");
+            }
+        }
+        struct Counted(Arc<AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
+        let rt = Runtime::new(TmConfig::stm());
+        let v = TVar::new(PanicOnClone);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.atomically(|tx| tx.read(&v).map(drop));
+        }));
+        assert!(outcome.is_err(), "the clone's panic propagates");
+        assert_eq!(crate::snapshot::pin_depth(), 0, "thread left pinned");
+
+        let drops = Arc::new(AtomicUsize::new(0));
+        let cell = TVar::new(Arc::new(Counted(Arc::clone(&drops))));
+        for _ in 0..256 {
+            cell.store(Arc::new(Counted(Arc::clone(&drops))));
+        }
+        // Other tests' transient pins can delay an epoch advance, never
+        // block it for long; a pin leaked on this thread would.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while drops.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
+            crate::snapshot::force_collect();
+            std::thread::yield_now();
+        }
+        assert!(drops.load(Ordering::SeqCst) > 0, "retirements never freed");
     }
 }

@@ -9,8 +9,9 @@
 //! * the committed value is stored as an `Arc<dyn Any + Send + Sync>` in a
 //!   lock-free [`SnapshotCell`]: an atomic pointer published under the
 //!   version seqlock and reclaimed via epochs (see `snapshot.rs`). Readers
-//!   take a consistent (version-stable) snapshot by cloning the `Arc` —
-//!   no lock, no writer/reader contention beyond the version word itself.
+//!   take a consistent (version-stable) snapshot by cloning their `T` out
+//!   of the pinned, borrowed value — no lock, no refcount, no
+//!   writer/reader contention beyond the version word itself.
 //! * a waiter list supports parking-based `retry`.
 //!
 //! Values must be `Clone`: a read hands the transaction its own copy. For
@@ -84,27 +85,31 @@ impl VarCore {
         self.version.load(Ordering::Acquire)
     }
 
-    /// Take a version-consistent snapshot: returns `(version, value)` such
-    /// that `value` was the committed value at `version` and `version` is
-    /// even. Spins across concurrent commit write-backs (which are short).
+    /// Take a version-consistent snapshot: runs `f` on the committed value
+    /// borrowed in place and returns `(version, f(value))` such that
+    /// `value` was the committed value at `version` and `version` is even.
+    /// Spins across concurrent commit write-backs (which are short); `f`
+    /// runs again on each retry, its earlier result dropped.
     ///
-    /// Lock-free: the value load is a single `Acquire` pointer read (plus
-    /// an `Arc` clone) under the even/odd seqlock. If a writer swaps the
-    /// pointer between `v1` and `v2`, the writer's preceding lock CAS (odd
-    /// version) or its final version stamp is visible by the time the new
-    /// pointer is (both are ordered before the `Release`-swapped pointer),
-    /// so `v2 != v1` and the read retries.
-    pub(crate) fn read_consistent(&self) -> (u64, Value) {
+    /// Lock-free and refcount-free: the value access is a single `Acquire`
+    /// pointer read plus `f`'s borrow, under the even/odd seqlock. If a
+    /// writer swaps the pointer between `v1` and `v2`, the writer's
+    /// preceding lock CAS (odd version) or its final version stamp is
+    /// visible by the time the new pointer is (both are ordered before the
+    /// `Release`-swapped pointer), so `v2 != v1` and the read retries. A
+    /// value is immutable once published, so `f` always sees a whole value
+    /// — at worst a superseded one, whose result the version check drops.
+    pub(crate) fn read_consistent<R>(&self, mut f: impl FnMut(&Value) -> R) -> (u64, R) {
         loop {
             let v1 = self.version.load(Ordering::Acquire);
             if clock::is_locked(v1) {
                 std::hint::spin_loop();
                 continue;
             }
-            let val = self.value.load();
+            let r = self.value.read(&mut f);
             let v2 = self.version.load(Ordering::Acquire);
             if v1 == v2 {
-                return (v1, val);
+                return (v1, r);
             }
         }
     }
@@ -236,8 +241,7 @@ impl<T: Any + Send + Sync + Clone> TVar<T> {
 
     /// Non-transactional consistent read of this single variable.
     pub fn load(&self) -> T {
-        let (_, val) = self.core.read_consistent();
-        downcast::<T>(&val)
+        self.core.read_consistent(downcast::<T>).1
     }
 
     /// Non-transactional write. Follows the version-lock protocol and bumps

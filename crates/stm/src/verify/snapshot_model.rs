@@ -8,13 +8,20 @@
 //!   reader that snapshots the cell concurrently, and a churner that
 //!   advances the global epoch at arbitrary points. Under `--cfg loom`,
 //!   "freeing" a retired value poisons its address instead of releasing
-//!   memory, and `SnapshotCell::load` has a scheduling point *between* its
+//!   memory, and `SnapshotCell::read` has a scheduling point *between* its
 //!   pointer load and the dereference where it asserts the pointer is not
 //!   poisoned — a use-after-free becomes a deterministic model failure.
 //!   With the production `store` (retirement tag read *after* a `SeqCst`
 //!   fence that follows the unlink swap), no interleaving can free the old
 //!   value while the reader still holds it (see the proof comment in
 //!   `SnapshotCell::store`).
+//!
+//!   The sweep runs twice: once with a plain reader, once with the reader
+//!   shaped like a transaction attempt — an outer pin (`pin_scope`, as the
+//!   runtime holds around every attempt) across both borrow reads, so each
+//!   read's own pin is a nested depth increment and the value is
+//!   dereferenced by the read's closure, the path `Tx::read` takes to
+//!   clone its `T` without an `Arc` clone.
 //!
 //! * [`staged_stale_tag`] — the **regression model**: the same machinery
 //!   over `store_weak_tag`, the PR-1 bug (tag read *before* the swap,
@@ -30,14 +37,16 @@
 //!   violation on every schedule. `model_catches_stale_retirement_tag`
 //!   asserts they actually do, so the green model cannot rot silently:
 //!   if someone "fixes" the detection machinery into blindness, the staged
-//!   bug stops being caught and the regression test fails.
+//!   bug stops being caught and the regression test fails. The staged
+//!   scenario runs once per reader shape (plain read, and borrow inside an
+//!   outer pin), so the transactional read path is covered too.
 
 use std::sync::Arc;
 
 use ad_support::model::{check, check_expect_violation, CheckOpts, Exec};
 
 use super::serialize;
-use crate::snapshot::{model_hooks, SnapshotCell};
+use crate::snapshot::{model_hooks, pin_scope, SnapshotCell};
 use crate::var::new_value;
 
 /// Exploration bounds for the green model: 3 threads with a few dozen
@@ -50,8 +59,10 @@ fn opts() -> CheckOpts {
     }
 }
 
-/// The green scenario: unconstrained concurrent store/load/advance.
-fn retire_vs_pin(e: &mut Exec) {
+/// The green scenario: unconstrained concurrent store/read/advance.
+/// `pinned_reader` holds one outer pin across the reader's two reads, as
+/// a transaction attempt does.
+fn retire_vs_pin(e: &mut Exec, pinned_reader: bool) {
     let cell = Arc::new(SnapshotCell::new(new_value(0u64)));
 
     // Writer: one store (retiring the original allocation), then drive
@@ -65,15 +76,19 @@ fn retire_vs_pin(e: &mut Exec) {
         }
     });
 
-    // Reader: concurrent snapshots. The value assertion is almost
-    // incidental — the real check is the poison assertion inside `load`.
+    // Reader: concurrent snapshots. The store may land between the two
+    // reads, but a value never goes backwards. The value assertion is
+    // almost incidental — the real check is the poison assertion inside
+    // `read`.
     let r = Arc::clone(&cell);
     e.spawn(move || {
-        for _ in 0..2 {
-            let v = r.load();
-            let x = *v.downcast_ref::<u64>().expect("cell holds a u64");
-            assert!(x == 0 || x == 1, "torn or recycled value: {x}");
-        }
+        let _attempt = pinned_reader.then(pin_scope);
+        let first = r.read(read_u64);
+        let second = r.read(read_u64);
+        assert!(
+            first <= second && second <= 1,
+            "torn or recycled value: {first}, {second}"
+        );
     });
 
     // Churner: epoch advancement from elsewhere in the system.
@@ -84,11 +99,17 @@ fn retire_vs_pin(e: &mut Exec) {
     });
 }
 
+/// Dereference the borrowed value, as `Tx::read`'s clone does.
+fn read_u64(v: &crate::var::Value) -> u64 {
+    *v.downcast_ref::<u64>().expect("cell holds a u64")
+}
+
 /// The staged regression scenario (see the module docs): drive the PR-1
 /// stale-tag interleaving deterministically through the turnstiles. The
 /// caller must have armed the gates; every schedule converges to the same
-/// phase order, so a handful of seeds suffices.
-fn staged_stale_tag(e: &mut Exec) {
+/// phase order, so a handful of seeds suffices. `pinned_reader` wraps the
+/// reader's borrow in an outer pin, as a transaction attempt does.
+fn staged_stale_tag(e: &mut Exec, pinned_reader: bool) {
     model_hooks::arm_gates();
     let cell = Arc::new(SnapshotCell::new(new_value(0u64)));
 
@@ -105,7 +126,7 @@ fn staged_stale_tag(e: &mut Exec) {
     });
 
     // Reader: waits for the advanced epoch (so its pin lands *above* the
-    // writer's stale tag), then loads. `load` parks between the pointer
+    // writer's stale tag), then reads. `read` parks between the pointer
     // load and the poison check (via `reader_window`) until the writer has
     // freed; the check then fires on the poisoned address.
     let r = Arc::clone(&cell);
@@ -113,7 +134,8 @@ fn staged_stale_tag(e: &mut Exec) {
         while !model_hooks::epoch_advanced() {
             std::hint::spin_loop();
         }
-        let _v = r.load();
+        let _attempt = pinned_reader.then(pin_scope);
+        r.read(read_u64);
     });
 
     // Churner: once the writer sits in its window (pinned, stale tag in
@@ -133,7 +155,17 @@ fn staged_stale_tag(e: &mut Exec) {
 #[test]
 fn snapshot_retire_vs_pin_is_safe() {
     let _g = serialize();
-    check("snapshot-retire-vs-pin", opts(), retire_vs_pin);
+    check("snapshot-retire-vs-pin", opts(), |e| {
+        retire_vs_pin(e, false)
+    });
+}
+
+#[test]
+fn snapshot_pinned_borrow_vs_retire_is_safe() {
+    let _g = serialize();
+    check("snapshot-pinned-borrow-vs-retire", opts(), |e| {
+        retire_vs_pin(e, true)
+    });
 }
 
 /// Disarm the staging gates even when the test's `expect` panics: the
@@ -156,6 +188,17 @@ impl Drop for DisarmOnDrop {
 /// fix the machinery, not the assertion.
 #[test]
 fn model_catches_stale_retirement_tag() {
+    expect_stale_tag_caught(false);
+}
+
+/// The same regression, caught through the transactional read shape: the
+/// reader borrows inside an outer pin.
+#[test]
+fn model_catches_stale_retirement_tag_through_pinned_borrow() {
+    expect_stale_tag_caught(true);
+}
+
+fn expect_stale_tag_caught(pinned_reader: bool) {
     let _g = serialize();
     let _disarm = DisarmOnDrop;
     let violation = check_expect_violation(
@@ -163,7 +206,7 @@ fn model_catches_stale_retirement_tag() {
             seeds: 64,
             max_steps: 200_000,
         },
-        |e| staged_stale_tag(e),
+        |e| staged_stale_tag(e, pinned_reader),
     );
     let (seed, msg) = violation.expect(
         "the staged retire-vs-pin scenario no longer produces a use-after-free for \

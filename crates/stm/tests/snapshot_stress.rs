@@ -65,8 +65,9 @@ fn nontx_load_never_tears_against_commits() {
 }
 
 /// Transactional readers must see consistent snapshots too: each
-/// transaction reads the pair twice (exercising the read cache on the
-/// second read) while committers replace it.
+/// transaction reads the pair twice while committers replace it. The
+/// second read checks the version the first recorded, so a commit in
+/// between aborts the attempt instead of returning a second value.
 #[test]
 fn transactional_reads_are_opaque_under_write_storm() {
     let rt = Arc::new(Runtime::new(TmConfig::stm()));

@@ -57,14 +57,18 @@ fn writes_are_invisible_until_commit() {
     assert_eq!(v.load(), 99);
 }
 
+/// A read after the transaction's own write returns the buffered value,
+/// through `read` and `read_arc` alike; a read before it, the snapshot.
 #[test]
 fn read_your_own_writes() {
     let v = TVar::new(1u32);
     let seen = atomically(|tx| {
+        let before = tx.read(&v)?;
         tx.write(&v, 2)?;
-        tx.read(&v)
+        Ok((before, tx.read(&v)?, *tx.read_arc(&v)?))
     });
-    assert_eq!(seen, 2);
+    assert_eq!(seen, (1, 2, 2));
+    assert_eq!(v.load(), 2);
 }
 
 #[test]

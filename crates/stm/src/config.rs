@@ -4,10 +4,9 @@
 //! (simulated) HTM execution, the contention manager's serialization
 //! threshold (GCC defaults: 100 for STM, 2 for HTM — paper §2), whether
 //! writers quiesce for privatization safety (§2), how `retry` waits
-//! (§4.2), and which commit-clock policy stamps write versions
-//! ([`ClockPolicy`], DESIGN.md §11).
-
-pub use crate::clock::ClockPolicy;
+//! (§4.2), and where deferred operations run (DESIGN.md §10). There is
+//! one way to pick each: one commit clock (TL2's GV2, DESIGN.md §11), one
+//! fixed-size deferred-op pool, and one bounded trace ring per thread.
 
 /// How a transaction waits after `retry`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,34 +80,12 @@ pub enum DeferExecCfg {
         /// Bounded queue capacity in batches (clamped to at least 1).
         queue_cap: usize,
     },
-    /// Like [`DeferExecCfg::Pool`], but the worker count autoscales within
-    /// `[min_workers, max_workers]` from queue-depth feedback: a submit
-    /// that finds queued batches outnumbering parked workers spawns one
-    /// more (saturation — the condition that makes `defer_queue_wait_ns`
-    /// climb), and a surplus worker idle past `idle_timeout_ms` with an
-    /// empty queue retires itself. Backpressure is unchanged: a full queue
-    /// still runs the batch inline on the committer.
-    AutoPool {
-        /// Worker-count floor (clamped to at least 1); spawned at startup.
-        min_workers: usize,
-        /// Worker-count ceiling (clamped to at least `min_workers`).
-        max_workers: usize,
-        /// Bounded queue capacity in batches (clamped to at least 1).
-        queue_cap: usize,
-        /// How long a surplus worker idles before retiring, in
-        /// milliseconds.
-        idle_timeout_ms: u64,
-    },
 }
 
 impl DeferExecCfg {
-    /// True when deferred ops are offloaded to a worker pool (fixed or
-    /// autoscaling).
+    /// True when deferred ops are offloaded to the worker pool.
     pub fn is_pool(&self) -> bool {
-        matches!(
-            self,
-            DeferExecCfg::Pool { .. } | DeferExecCfg::AutoPool { .. }
-        )
+        matches!(self, DeferExecCfg::Pool { .. })
     }
 }
 
@@ -134,23 +111,9 @@ pub struct TmConfig {
     /// Smaller rings cost less memory per thread, larger ones survive
     /// longer gaps between `Runtime::take_trace` calls. Default 16384.
     pub trace_ring_events: usize,
-    /// Spill ring overflow to the heap instead of dropping it: when a
-    /// thread's ring wraps between drains, the overwritten event is
-    /// copied into an unbounded per-thread heap vector (mutex-guarded,
-    /// touched only on overflow) and merged back in by
-    /// `Runtime::take_trace` — lossless tracing at the cost of
-    /// unbounded memory on a runaway gap. Off by default: the ring's
-    /// fixed footprint and drop accounting are the production posture;
-    /// spill is for capture-everything debugging and short experiments.
-    pub trace_spill: bool,
     /// Where deferred operations run after commit: inline on the committing
     /// thread (default) or offloaded to a bounded worker pool.
     pub defer_exec: DeferExecCfg,
-    /// Commit-clock policy: how writer commits acquire version timestamps.
-    /// `Gv2` (default) is the paper-faithful TL2 clock; `Sloppy` and
-    /// `Sharded` trade timestamp uniqueness for commit-path scalability
-    /// (DESIGN.md §11).
-    pub clock: ClockPolicy,
 }
 
 impl TmConfig {
@@ -164,9 +127,7 @@ impl TmConfig {
             retry_policy: RetryPolicy::Spin,
             max_backoff_spins: 1 << 14,
             trace_ring_events: 1 << 14,
-            trace_spill: false,
             defer_exec: DeferExecCfg::Inline,
-            clock: ClockPolicy::Gv2,
         }
     }
 
@@ -180,9 +141,7 @@ impl TmConfig {
             retry_policy: RetryPolicy::Spin,
             max_backoff_spins: 1 << 10,
             trace_ring_events: 1 << 14,
-            trace_spill: false,
             defer_exec: DeferExecCfg::Inline,
-            clock: ClockPolicy::Gv2,
         }
     }
 
@@ -220,48 +179,10 @@ impl TmConfig {
         self
     }
 
-    /// Builder-style override of the ring-overflow spill (see
-    /// [`TmConfig::trace_spill`]).
-    pub fn with_trace_spill(mut self, on: bool) -> Self {
-        self.trace_spill = on;
-        self
-    }
-
     /// Builder-style switch to the worker-pool deferred-op executor.
     /// `workers`/`queue_cap` are clamped to at least 1 at pool creation.
     pub fn with_defer_pool(mut self, workers: usize, queue_cap: usize) -> Self {
         self.defer_exec = DeferExecCfg::Pool { workers, queue_cap };
-        self
-    }
-
-    /// Builder-style switch to the *autoscaling* worker-pool executor:
-    /// worker count floats in `[min_workers, max_workers]` on queue-depth
-    /// feedback with a 100 ms idle-retirement timeout (see
-    /// [`DeferExecCfg::AutoPool`] for the policy).
-    pub fn with_defer_autoscale(
-        mut self,
-        min_workers: usize,
-        max_workers: usize,
-        queue_cap: usize,
-    ) -> Self {
-        self.defer_exec = DeferExecCfg::AutoPool {
-            min_workers,
-            max_workers,
-            queue_cap,
-            idle_timeout_ms: 100,
-        };
-        self
-    }
-
-    /// Builder-style override of the deferred-op executor.
-    pub fn with_defer_exec(mut self, exec: DeferExecCfg) -> Self {
-        self.defer_exec = exec;
-        self
-    }
-
-    /// Builder-style override of the commit-clock policy.
-    pub fn with_clock(mut self, clock: ClockPolicy) -> Self {
-        self.clock = clock;
         self
     }
 
@@ -292,7 +213,6 @@ mod tests {
             DeferExecCfg::Inline,
             "Inline must stay the default"
         );
-        assert_eq!(c.clock, ClockPolicy::Gv2, "Gv2 must stay the default");
     }
 
     #[test]
@@ -311,13 +231,12 @@ mod tests {
             .with_retry_policy(RetryPolicy::Park)
             .with_htm_capacity(1024)
             .with_trace_ring(256)
-            .with_defer_pool(2, 32)
-            .with_clock(ClockPolicy::Sloppy);
+            .with_defer_pool(2, 32);
         assert_eq!(c.serialize_after, 5);
-        assert_eq!(c.clock, ClockPolicy::Sloppy);
         assert!(c.quiesce);
         assert_eq!(c.retry_policy, RetryPolicy::Park);
         assert_eq!(c.trace_ring_events, 256);
+        assert!(c.defer_exec.is_pool());
         assert_eq!(
             c.defer_exec,
             DeferExecCfg::Pool {
@@ -329,21 +248,6 @@ mod tests {
             Mode::HtmSim(h) => assert_eq!(h.capacity_bytes, 1024),
             _ => panic!("expected HTM mode"),
         }
-    }
-
-    #[test]
-    fn autoscale_builder_sets_bounds() {
-        let c = TmConfig::stm().with_defer_autoscale(1, 8, 64);
-        assert!(c.defer_exec.is_pool());
-        assert_eq!(
-            c.defer_exec,
-            DeferExecCfg::AutoPool {
-                min_workers: 1,
-                max_workers: 8,
-                queue_cap: 64,
-                idle_timeout_ms: 100
-            }
-        );
     }
 
     #[test]

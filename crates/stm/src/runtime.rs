@@ -98,9 +98,6 @@ impl Runtime {
             !cfg.defer_exec.is_pool(),
             "DeferExecCfg::Pool spawns OS threads and is not available under --cfg loom"
         );
-        // Non-transactional stamps must merge the shard cells once any
-        // sharded runtime exists (TVars are shared across runtimes).
-        clock::note_policy_in_use(cfg.clock);
         Runtime {
             inner: Arc::new(RtInner {
                 id: NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed),
@@ -108,24 +105,13 @@ impl Runtime {
                 serial: RwLock::new(()),
                 registry: Registry::default(),
                 stats: Stats::default(),
-                sink: TraceSink::new(cfg.trace_ring_events, cfg.trace_spill),
+                sink: TraceSink::new(cfg.trace_ring_events),
                 #[cfg(not(loom))]
                 defer_pool: match cfg.defer_exec {
                     crate::config::DeferExecCfg::Inline => None,
                     crate::config::DeferExecCfg::Pool { workers, queue_cap } => {
                         Some(ad_support::pool::Pool::new(workers, queue_cap))
                     }
-                    crate::config::DeferExecCfg::AutoPool {
-                        min_workers,
-                        max_workers,
-                        queue_cap,
-                        idle_timeout_ms,
-                    } => Some(ad_support::pool::Pool::with_limits(
-                        min_workers,
-                        max_workers,
-                        queue_cap,
-                        std::time::Duration::from_millis(idle_timeout_ms),
-                    )),
                 },
             }),
         }
@@ -156,12 +142,7 @@ impl Runtime {
 
     /// Snapshot of this runtime's statistics counters.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut s = self.inner.stats.snapshot();
-        // Spill accounting lives in the trace sink (per-thread monotone
-        // counters), not the Stats block; overlay it here so consumers
-        // see one coherent snapshot.
-        s.trace_spilled_events = self.inner.sink.spilled_total();
-        s
+        self.inner.stats.snapshot()
     }
 
     /// Full observability report: the counters plus the four latency
@@ -171,9 +152,7 @@ impl Runtime {
     /// histograms only fill while [`Runtime::set_tracing`] is on; the
     /// quiescence histogram is always live.
     pub fn snapshot_stats(&self) -> StatsReport {
-        let mut r = self.inner.stats.report();
-        r.counters.trace_spilled_events = self.inner.sink.spilled_total();
-        r
+        self.inner.stats.report()
     }
 
     /// Zero the statistics counters and histograms.
@@ -194,9 +173,10 @@ impl Runtime {
         self.inner.sink.enabled()
     }
 
-    /// Drain every thread's event ring into one timestamp-sorted timeline,
-    /// clearing the rings. [`Trace::dropped`] counts events lost to ring
-    /// wrap-around.
+    /// Drain every thread's event ring into one timestamp-sorted timeline:
+    /// each event is handed out by exactly one take, and per-thread
+    /// sequence numbers run on across takes. [`Trace::dropped`] counts
+    /// events lost to ring wrap-around.
     pub fn take_trace(&self) -> Trace {
         self.inner.sink.take()
     }
@@ -600,9 +580,8 @@ impl Runtime {
         true
     }
 
-    /// Live worker count of the `Pool`/`AutoPool` executor (0 under
-    /// `Inline`). On an autoscaling pool this floats between the
-    /// configured min and max with load.
+    /// Worker count of the `Pool` executor (0 under `Inline`); fixed for
+    /// the runtime's lifetime.
     pub fn defer_worker_count(&self) -> usize {
         #[cfg(not(loom))]
         if let Some(pool) = &self.inner.defer_pool {

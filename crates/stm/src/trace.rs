@@ -45,7 +45,8 @@ use crate::fxhash::FxHashMap;
 pub(crate) const DEFAULT_RING_CAP: usize = 1 << 14;
 
 /// What happened. The discriminants are stable — they appear in JSON
-/// exports and `txtrace` output — so add variants only at the end.
+/// exports and `txtrace` output — so add variants only at the end, and
+/// never reuse a retired code (17 is retired).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum EventKind {
@@ -103,10 +104,6 @@ pub enum EventKind {
     /// the committing thread; the matching `defer_exec_start`/`_end` pair
     /// appears on the worker's timeline row.
     DeferOffload = 16,
-    /// A snapshot extension advanced the shared clock word under the
-    /// `Sloppy` commit-clock policy (the reader paid the CAS the writers
-    /// skipped); `arg` = the new clock value.
-    ClockBump = 17,
     /// A snapshot extension succeeded: the whole read set revalidated at a
     /// fresher timestamp; `arg` = the new read version.
     ValidationExtend = 18,
@@ -190,7 +187,6 @@ impl EventKind {
             EventKind::WalAppend => "wal_append",
             EventKind::WalFsync => "wal_fsync",
             EventKind::DeferOffload => "defer_offload",
-            EventKind::ClockBump => "clock_bump",
             EventKind::ValidationExtend => "validation_extend",
             EventKind::NetAckDurable => "ack_after_durable",
             EventKind::DeferSelfWaitHazard => "defer_self_wait_hazard",
@@ -232,7 +228,6 @@ impl EventKind {
             14 => EventKind::WalAppend,
             15 => EventKind::WalFsync,
             16 => EventKind::DeferOffload,
-            17 => EventKind::ClockBump,
             18 => EventKind::ValidationExtend,
             19 => EventKind::NetAckDurable,
             20 => EventKind::DeferSelfWaitHazard,
@@ -342,10 +337,6 @@ pub struct Trace {
     pub events: Vec<TraceEvent>,
     /// Events lost to ring wrap-around (oldest-first overwrite).
     pub dropped: u64,
-    /// Events rescued from ring wrap-around by the heap spill
-    /// (`TmConfig::trace_spill`) and merged into `events`; always 0 with
-    /// spill off.
-    pub spilled: u64,
 }
 
 impl Trace {
@@ -382,27 +373,21 @@ impl Trace {
     /// embedding running one runtime per partition — renders a cross-shard
     /// commit as *one* story: events keep their `runtime` tag, duplicates
     /// are collapsed by the global event identity `(runtime, thread, seq)`
-    /// (a spill-enabled ring can hand the same event to two consecutive
-    /// drains that race a writer), and the result is re-sorted on the
-    /// common timestamp axis exactly like a single-runtime take.
-    /// `dropped`/`spilled` sum over the inputs.
+    /// (so overlapping inputs — the same drain passed twice — count each
+    /// event once), and the result is re-sorted on the common timestamp
+    /// axis exactly like a single-runtime take. `dropped` sums over the
+    /// inputs.
     pub fn merge(traces: impl IntoIterator<Item = Trace>) -> Trace {
         let mut events = Vec::new();
         let mut dropped = 0u64;
-        let mut spilled = 0u64;
         for t in traces {
             events.extend(t.events);
             dropped += t.dropped;
-            spilled += t.spilled;
         }
         events.sort_unstable_by_key(|e| (e.runtime, e.thread, e.seq));
         events.dedup_by_key(|e| (e.runtime, e.thread, e.seq));
         events.sort_unstable_by_key(|e| (e.ts_ns, e.runtime, e.thread, e.seq));
-        Trace {
-            events,
-            dropped,
-            spilled,
-        }
+        Trace { events, dropped }
     }
 
     /// Render the timeline as line-oriented text (one event per line).
@@ -414,9 +399,6 @@ impl Trace {
         }
         if self.dropped > 0 {
             s.push_str(&format!("({} events dropped to ring wrap)\n", self.dropped));
-        }
-        if self.spilled > 0 {
-            s.push_str(&format!("({} events spilled to heap)\n", self.spilled));
         }
         s
     }
@@ -730,27 +712,26 @@ pub(crate) struct TraceBuf {
     /// event it emits, so merged traces keep their provenance.
     runtime: u64,
     thread: u32,
-    /// Total events ever written by the owner (monotone).
+    /// Total events ever written by the owner (monotone; the owner is its
+    /// only writer).
     head: AtomicU64,
+    /// `head` as of the last drain: events with `seq <= drained` were
+    /// already handed out. Written only by drains, which the sink's lock
+    /// serializes.
+    drained: AtomicU64,
     slots: Box<[Slot]>,
-    /// Ring-overflow rescue (`TmConfig::trace_spill`): events the owner is
-    /// about to overwrite land here instead of being dropped. Touched only
-    /// on overflow, so the keeping-up hot path never takes the lock.
-    spill: Option<Mutex<Vec<TraceEvent>>>,
-    /// Total events ever spilled by the owner (monotone, never reset —
-    /// feeds the `trace_spilled_events` counter).
-    spilled: AtomicU64,
 }
 
 impl TraceBuf {
     /// `capacity` is rounded up to a power of two (minimum 2) so the ring
     /// index stays a mask of the monotone head counter.
-    fn new(runtime: u64, thread: u32, capacity: usize, spill: bool) -> Arc<TraceBuf> {
+    fn new(runtime: u64, thread: u32, capacity: usize) -> Arc<TraceBuf> {
         let cap = capacity.max(2).next_power_of_two();
         Arc::new(TraceBuf {
             runtime,
             thread,
             head: AtomicU64::new(0),
+            drained: AtomicU64::new(0),
             slots: (0..cap)
                 .map(|_| Slot {
                     seq: AtomicU64::new(0),
@@ -758,12 +739,6 @@ impl TraceBuf {
                     packed: AtomicU64::new(0),
                 })
                 .collect(),
-            spill: if spill {
-                Some(Mutex::new(Vec::new()))
-            } else {
-                None
-            },
-            spilled: AtomicU64::new(0),
         })
     }
 
@@ -776,25 +751,6 @@ impl TraceBuf {
     pub(crate) fn push(&self, ts: u64, kind: EventKind, arg: u64) {
         let head = self.head.load(Ordering::Relaxed);
         let slot = &self.slots[(head as usize) & (self.slots.len() - 1)];
-        // Spill the event this push is about to overwrite. Owner-side
-        // reads need no seqlock dance — only the owner writes slots.
-        if let Some(spill) = &self.spill {
-            let old_seq = slot.seq.load(Ordering::Relaxed);
-            if old_seq != 0 {
-                let old_packed = slot.packed.load(Ordering::Relaxed);
-                if let Some(old_kind) = EventKind::from_code((old_packed >> ARG_BITS) as u8) {
-                    spill.lock().push(TraceEvent {
-                        ts_ns: slot.ts.load(Ordering::Relaxed),
-                        runtime: self.runtime,
-                        thread: self.thread,
-                        seq: old_seq,
-                        kind: old_kind,
-                        arg: old_packed & ARG_MASK,
-                    });
-                    self.spilled.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
         // Invalidate first so a concurrent reader can't pair the old seq
         // with the new payload, then publish payload before the new seq.
         slot.seq.store(0, Ordering::Relaxed);
@@ -807,21 +763,17 @@ impl TraceBuf {
         self.head.store(head + 1, Ordering::Release);
     }
 
-    /// Copy out every readable event, spilled ones first. Returns
-    /// `(dropped, spilled_now)` — with spill on, a kept-up drain reports
-    /// `dropped == 0` because every overwritten event was rescued.
-    fn drain_into(&self, out: &mut Vec<TraceEvent>) -> (u64, u64) {
+    /// Copy out every readable event written since the last drain, up to
+    /// the current head; later events stay for the next drain, so no
+    /// event is handed out twice and sequence numbers run on across
+    /// drains. Returns how many events of the range were lost to wrap.
+    fn drain_into(&self, out: &mut Vec<TraceEvent>) -> u64 {
         let head = self.head.load(Ordering::Acquire);
-        let mut spilled_now = 0u64;
-        if let Some(spill) = &self.spill {
-            let mut g = spill.lock();
-            spilled_now = g.len() as u64;
-            out.append(&mut g);
-        }
+        let from = self.drained.load(Ordering::Relaxed);
         let mut readable = 0u64;
         for slot in self.slots.iter() {
             let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 {
+            if s1 <= from || s1 > head {
                 continue;
             }
             let ts = slot.ts.load(Ordering::Relaxed);
@@ -843,16 +795,8 @@ impl TraceBuf {
                 arg: packed & ARG_MASK,
             });
         }
-        (head.saturating_sub(readable + spilled_now), spilled_now)
-    }
-
-    /// Clear all slots (merger side; racing writers may lose the event
-    /// they are writing, which is inherent to draining a live trace).
-    fn clear(&self) {
-        for slot in self.slots.iter() {
-            slot.seq.store(0, Ordering::Relaxed);
-        }
-        self.head.store(0, Ordering::Release);
+        self.drained.store(head, Ordering::Relaxed);
+        head - from - readable
     }
 }
 
@@ -864,28 +808,23 @@ pub(crate) struct TraceSink {
     /// Per-thread ring capacity in events (already a power of two ≥ 2);
     /// applied to each ring as it registers.
     ring_cap: usize,
-    /// Whether rings spill overflow to the heap (`TmConfig::trace_spill`);
-    /// applied to each ring as it registers.
-    spill: bool,
     bufs: Mutex<Vec<Arc<TraceBuf>>>,
 }
 
 impl Default for TraceSink {
     fn default() -> Self {
-        TraceSink::new(DEFAULT_RING_CAP, false)
+        TraceSink::new(DEFAULT_RING_CAP)
     }
 }
 
 impl TraceSink {
     /// Create a sink whose per-thread rings hold `ring_cap` events
-    /// (rounded up to a power of two, minimum 2) and spill overflow to
-    /// the heap when `spill` is on.
-    pub(crate) fn new(ring_cap: usize, spill: bool) -> Self {
+    /// (rounded up to a power of two, minimum 2).
+    pub(crate) fn new(ring_cap: usize) -> Self {
         TraceSink {
             enabled: AtomicBool::new(false),
             next_thread: AtomicU32::new(0),
             ring_cap: ring_cap.max(2).next_power_of_two(),
-            spill,
             bufs: Mutex::new(Vec::new()),
         }
     }
@@ -935,7 +874,6 @@ impl TraceSink {
                         runtime_id,
                         self.next_thread.fetch_add(1, Ordering::Relaxed),
                         self.ring_cap,
-                        self.spill,
                     );
                     self.bufs.lock().push(Arc::clone(&buf));
                     buf
@@ -948,43 +886,17 @@ impl TraceSink {
             .ok();
     }
 
-    /// Total events ever spilled to the heap across every thread's ring
-    /// (monotone; feeds the `trace_spilled_events` counter).
-    pub(crate) fn spilled_total(&self) -> u64 {
-        self.bufs
-            .lock()
-            .iter()
-            .map(|b| b.spilled.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Merge every thread's ring into one timeline and clear the rings.
+    /// Merge every thread's events since the last take into one timeline.
     pub(crate) fn take(&self) -> Trace {
         let bufs = self.bufs.lock();
         let mut events = Vec::new();
         let mut dropped = 0u64;
-        let mut spilled = 0u64;
         for buf in bufs.iter() {
-            let (d, s) = buf.drain_into(&mut events);
-            dropped += d;
-            spilled += s;
-            buf.clear();
+            dropped += buf.drain_into(&mut events);
         }
         drop(bufs);
-        if self.spill {
-            // An event the merger drains from the ring can also be spilled
-            // by a racing owner overwriting its slot before `clear` lands;
-            // (runtime, thread, seq) identifies the event, so collapse
-            // duplicates.
-            events.sort_unstable_by_key(|e| (e.runtime, e.thread, e.seq));
-            events.dedup_by_key(|e| (e.runtime, e.thread, e.seq));
-        }
         events.sort_unstable_by_key(|e| (e.ts_ns, e.runtime, e.thread, e.seq));
-        Trace {
-            events,
-            dropped,
-            spilled,
-        }
+        Trace { events, dropped }
     }
 }
 
@@ -1030,7 +942,7 @@ mod tests {
         // A configured 4-event ring receiving 10 events keeps the newest 4
         // and reports the other 6 dropped — the runtime-configurable ring
         // size must not break the drop accounting.
-        let sink = TraceSink::new(4, false);
+        let sink = TraceSink::new(4);
         sink.set_enabled(true);
         for i in 0..10 {
             sink.push(9005, now_ns(), EventKind::ReadSetGrow, i);
@@ -1038,7 +950,6 @@ mod tests {
         let t = sink.take();
         assert_eq!(t.events.len(), 4);
         assert_eq!(t.dropped, 6);
-        assert_eq!(t.spilled, 0);
         let seqs: Vec<u64> = t.events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9, 10]);
         let args: Vec<u64> = t.events.iter().map(|e| e.arg).collect();
@@ -1046,37 +957,32 @@ mod tests {
     }
 
     #[test]
-    fn spill_rescues_overflow_instead_of_dropping() {
-        // The same 10-events-into-a-4-slot-ring overload, but with spill
-        // on: nothing is dropped, the 6 overwritten events are rescued to
-        // the heap and merged back in order.
-        let sink = TraceSink::new(4, true);
+    fn takes_hand_out_each_event_once_and_seq_runs_on() {
+        let sink = TraceSink::new(4);
         sink.set_enabled(true);
-        for i in 0..10 {
-            sink.push(9007, now_ns(), EventKind::ReadSetGrow, i);
+        for i in 0..2 {
+            sink.push(9008, now_ns(), EventKind::ReadSetGrow, i);
         }
-        assert_eq!(sink.spilled_total(), 6);
         let t = sink.take();
-        assert_eq!(t.events.len(), 10, "spill keeps every event");
-        assert_eq!(t.dropped, 0);
-        assert_eq!(t.spilled, 6);
-        let seqs: Vec<u64> = t.events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, (1..=10).collect::<Vec<u64>>());
-        let args: Vec<u64> = t.events.iter().map(|e| e.arg).collect();
-        assert_eq!(args, (0..10).collect::<Vec<u64>>());
-        // Drained: the next take carries nothing over, but the monotone
-        // spilled total survives for the stats counter.
-        let t2 = sink.take();
-        assert!(t2.events.is_empty());
-        assert_eq!(t2.spilled, 0);
-        assert_eq!(sink.spilled_total(), 6);
+        assert_eq!(t.events.iter().map(|e| e.seq).collect::<Vec<_>>(), [1, 2]);
+        // Six more into the 4-slot ring: the first two of them wrap away,
+        // the two already taken are not reported again.
+        for i in 2..8 {
+            sink.push(9008, now_ns(), EventKind::ReadSetGrow, i);
+        }
+        let t = sink.take();
+        assert_eq!(
+            t.events.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            [5, 6, 7, 8]
+        );
+        assert_eq!(t.dropped, 2);
     }
 
     #[test]
     fn ring_capacity_rounds_up_to_power_of_two() {
         // Requesting 3 events rounds the ring up to 4: pushing 4 must not
         // drop anything, pushing a 5th drops exactly one.
-        let sink = TraceSink::new(3, false);
+        let sink = TraceSink::new(3);
         sink.set_enabled(true);
         for i in 0..4 {
             sink.push(9006, now_ns(), EventKind::Begin, i);
@@ -1134,7 +1040,6 @@ mod tests {
             EventKind::WalAppend,
             EventKind::WalFsync,
             EventKind::DeferOffload,
-            EventKind::ClockBump,
             EventKind::ValidationExtend,
             EventKind::NetAckDurable,
             EventKind::DeferSelfWaitHazard,
@@ -1301,21 +1206,21 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_dropped_and_spilled() {
-        let a = TraceSink::new(4, true);
+    fn merge_sums_dropped() {
+        let a = TraceSink::new(16);
         a.set_enabled(true);
         for i in 0..10 {
             a.push(5, now_ns(), EventKind::ReadSetGrow, i);
         }
-        let b = TraceSink::new(4, false);
+        let b = TraceSink::new(4);
         b.set_enabled(true);
         for i in 0..10 {
             b.push(6, now_ns(), EventKind::ReadSetGrow, i);
         }
         let m = Trace::merge([a.take(), b.take()]);
-        assert_eq!(m.spilled, 6, "runtime 5's rescued overflow");
         assert_eq!(m.dropped, 6, "runtime 6's lost overflow");
-        // The spill-enabled runtime stays gap-free after the merge.
+        // The runtime whose ring did not wrap stays gap-free after the
+        // merge.
         let seqs: Vec<u64> = m
             .events
             .iter()

@@ -40,7 +40,6 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::clock;
-use crate::clock::ClockPolicy;
 use crate::config::Mode;
 use crate::error::{StmError, StmResult};
 use crate::fxhash::FxHashSet;
@@ -182,9 +181,6 @@ pub struct Tx<'rt> {
     cfg_mode: Mode,
     /// Quiescence policy, cached likewise for commit.
     cfg_quiesce: bool,
-    /// Commit-clock policy, cached likewise: decides how `rv`/`wv` are
-    /// acquired and whether the `wv == rv + 2` validation skip is sound.
-    cfg_clock: ClockPolicy,
     /// Read version: the snapshot timestamp (TL2 `rv`).
     rv: u64,
     /// Pooled collections (see [`TxBuffers`]).
@@ -221,13 +217,8 @@ impl<'rt> Tx<'rt> {
         let obs = started.is_some();
         let cfg = rt.config();
         // Serial transactions access memory directly and only use `rv` for
-        // quiescence bookkeeping; the shared word is a safe (stale-low)
-        // bound under every policy.
-        let rv = if serial {
-            clock::now()
-        } else {
-            clock::begin(cfg.clock)
-        };
+        // quiescence bookkeeping.
+        let rv = clock::now();
         if let Some(t0) = started {
             rt.trace_event_at(t0, crate::trace::EventKind::Begin, rv);
         }
@@ -240,7 +231,6 @@ impl<'rt> Tx<'rt> {
             },
             cfg_mode: cfg.mode,
             cfg_quiesce: cfg.quiesce,
-            cfg_clock: cfg.clock,
             rv,
             bufs,
             footprint: 0,
@@ -542,18 +532,12 @@ impl<'rt> Tx<'rt> {
 
     /// Snapshot extension: move `rv` forward if the entire read set still
     /// validates; otherwise the snapshot is broken and the transaction
-    /// conflicts. `witness` is the version that exceeded the old `rv`; the
-    /// clock policy guarantees the refreshed `rv` covers it (under `Sloppy`
-    /// by bumping the shared clock word — the policy's lazy progress).
+    /// conflicts. `witness` is the version that exceeded the old `rv`;
+    /// every stamp is published to the clock before it is written back, so
+    /// re-reading the clock covers it (clock.rs module docs).
     fn extend_snapshot(&mut self, witness: u64) -> StmResult<()> {
-        let (new_rv, bumped) = clock::refresh(self.cfg_clock, witness);
-        if bumped {
-            self.rt.stats_ref().on_clock_bump();
-            if self.obs {
-                self.rt
-                    .trace_event(crate::trace::EventKind::ClockBump, new_rv);
-            }
-        }
+        let new_rv = clock::now();
+        debug_assert!(new_rv >= witness);
         for (core, seen) in &self.bufs.read_set {
             let cur = core.version();
             if clock::is_locked(cur) || cur != *seen {
@@ -633,15 +617,9 @@ impl<'rt> Tx<'rt> {
         entries.sort_unstable_by_key(|(id, _, _)| *id);
 
         locked.clear();
-        let mut max_pre = 0u64;
         for (i, (_, core, _)) in entries.iter().enumerate() {
             match core.try_lock() {
-                Some(pre) => {
-                    if pre > max_pre {
-                        max_pre = pre;
-                    }
-                    locked.push(pre)
-                }
+                Some(pre) => locked.push(pre),
                 None => {
                     if obs {
                         rt.trace_event(crate::trace::EventKind::ValidateFail, core.id() as u64);
@@ -654,16 +632,16 @@ impl<'rt> Tx<'rt> {
             }
         }
 
-        // Phase 2: acquire a write version under the configured clock
-        // policy (after locking: sloppy/sharded stamps must cover the
-        // locked cells' pre-lock versions to stay per-variable monotone).
-        let wv = clock::tick(self.cfg_clock, self.rv, max_pre);
+        // Phase 2: acquire a write version (after locking — clock.rs
+        // module docs). Every published version is below it, so the
+        // locked cells' version words stay monotone.
+        let wv = clock::tick();
+        debug_assert!(locked.iter().all(|&pre| pre < wv));
 
-        // Phase 3: validate the read set (unless nobody else committed
-        // since our snapshot — the TL2 fast path). `wv == rv + 2` only
-        // implies that under Gv2, whose RMW makes timestamps unique;
-        // sloppy/sharded writers may share `wv` and must always validate.
-        if self.cfg_clock != ClockPolicy::Gv2 || wv != self.rv + 2 {
+        // Phase 3: validate the read set, unless nobody else committed
+        // since our snapshot — the TL2 fast path: ticks are unique, so
+        // `wv == rv + 2` means no other version was stamped above `rv`.
+        if wv != self.rv + 2 {
             for (core, seen) in read_set.iter() {
                 let ok = match entries.binary_search_by_key(&core.id(), |(id, _, _)| *id) {
                     // We hold this lock: compare against its pre-lock version.
@@ -696,9 +674,6 @@ impl<'rt> Tx<'rt> {
         // privatizers, so clear the activity slot *before* quiescing (also
         // prevents two quiescing writers from waiting on each other).
         self.slot.end();
-        // Sharded policy: this thread's next transactions may begin at wv
-        // without scanning (sound — clock.rs module docs).
-        clock::note_commit(self.cfg_clock, wv);
 
         // Phase 5: wake retry-waiters watching the written variables.
         for (_, core, _) in entries.iter() {

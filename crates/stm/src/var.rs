@@ -162,9 +162,8 @@ impl VarCore {
             }
             std::hint::spin_loop();
         };
-        // Policy-independent stamp: covers the shared clock word, any
-        // sharded cells, and this cell's pre-lock version, and publishes
-        // before write-back — safe against readers under every policy.
+        // The stamp covers the clock word and this cell's pre-lock
+        // version, and is published before write-back (clock.rs).
         let wv = clock::nontx_tick(pre);
         self.write_back(val, wv);
         self.wake_waiters();
@@ -352,7 +351,7 @@ mod tests {
         let v = TVar::new(1u32);
         let core = Arc::clone(v.core());
         core.try_lock().unwrap();
-        let wv = crate::clock::tick(crate::clock::ClockPolicy::Gv2, 0, 0);
+        let wv = crate::clock::tick();
         core.write_back(new_value(99u32), wv);
         assert_eq!(v.load(), 99);
         assert_eq!(core.version(), wv);

@@ -1,37 +1,36 @@
-//! Models: commit-clock publish/merge ordering for the non-RMW policies.
+//! Models: the GV2 commit clock covers every stamp a reader can witness.
 //!
-//! The sloppy and sharded clocks drop TL2's one-RMW-per-commit, so their
-//! safety rests on ordering claims instead of a total CAS order
-//! (`clock.rs` module docs, "Why sloppy/sharded timestamps preserve
-//! opacity"):
+//! A snapshot extension (`Tx::extend_snapshot`) re-reads the clock and
+//! accepts the read set at the new `rv` without checking the witnessed
+//! version against it. That is sound only if every version a reader can
+//! see in a variable is already covered by the clock word, and if an `rv`
+//! that covers a writer's stamp also observes the writer's write-set lock
+//! (`clock.rs` module docs, "Why the clock preserves opacity"). Two kinds
+//! of writer stamp variables:
 //!
-//! * **Sloppy**: a stamp lives *above* the shared word until witnessed; a
-//!   reader that witnesses it must, via [`clock::refresh`], push the word
-//!   up so its new `rv` covers the stamp — and an `rv` that covers a
-//!   writer's `wv` must also observe that writer's pre-tick write-set
-//!   locks.
-//! * **Sharded**: a committing writer publishes `wv` to its shard cell
-//!   *before* stamping any variable, so the full max-merge covers every
-//!   version a reader can witness.
+//! * **transactional** (`Tx::commit`): lock, then [`clock::tick`] (a
+//!   `fetch_add` on the word), then stamp;
+//! * **non-transactional** (`TVar::store`): lock, then
+//!   [`clock::nontx_tick`] (a `fetch_max` of the stamp into the word),
+//!   then stamp.
 //!
 //! Each scenario models a variable as a (lock word, stamped version word)
-//! pair: the writer takes the lock, ticks, then stamps — the same order
-//! `Tx::commit` uses. The reader witnesses the stamp and asserts the
-//! clock covers it.
+//! pair. The reader witnesses each stamp and asserts that `clock::now()`
+//! covers it and that the writer's lock is visible.
 //!
-//! The regression variant seeds the clock-skew bug via
-//! [`clock::model_hooks::merged_skipping`]: a reader whose merge skips the
-//! writer's shard misses the published `wv`, keeps a too-small `rv`, and
-//! would accept a version above its snapshot without revalidation. The
-//! model must catch it, or the green sharded model proves nothing.
+//! The regression variant seeds the bug the unconditional `now()`
+//! extension is exposed to: a non-transactional stamp that skips the
+//! shared-word `fetch_max` ([`clock::model_hooks::nontx_tick_unpublished`])
+//! lives above the word, so a reader that witnesses it extends to an `rv`
+//! below it. The model must catch it, or the green model proves nothing.
 
 use std::sync::Arc;
 
 use ad_support::model::{check, check_expect_violation, CheckOpts, Exec};
-use ad_support::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use ad_support::sync::atomic::{AtomicU64, Ordering};
 
 use super::serialize;
-use crate::clock::{self, ClockPolicy};
+use crate::clock;
 
 fn opts() -> CheckOpts {
     CheckOpts {
@@ -56,136 +55,89 @@ impl Var {
     }
 }
 
-/// Spawn a writer that locks `var`, ticks `policy`, and stamps. Commits
-/// under the non-unique policies may collide on `wv`; that is by design.
-fn spawn_writer(e: &mut Exec, var: &Arc<Var>, policy: ClockPolicy) {
+/// Spawn a writer that locks `var`, draws a stamp from `stamp_fn`, and
+/// stamps — the order both `Tx::commit` and `VarCore::direct_write` use.
+fn spawn_writer(e: &mut Exec, var: &Arc<Var>, stamp_fn: fn() -> u64) {
     let var = Arc::clone(var);
     e.spawn(move || {
-        let rv = clock::now();
         var.lock.store(1, Ordering::SeqCst);
-        let wv = clock::tick(policy, rv, 0);
+        let wv = stamp_fn();
         var.stamp.store(wv, Ordering::SeqCst);
     });
 }
 
-/// Reader-side validation of one witnessed stamp: extending through
-/// `refresh` must produce `rv >= witness`, and an `rv` that covers the
+/// A `TVar::store`-style stamp over a cell whose pre-lock version sits at
+/// the current clock value.
+fn nontx_stamp() -> u64 {
+    clock::nontx_tick(clock::now())
+}
+
+/// The seeded bug: the same stamp, never published to the clock word.
+fn nontx_stamp_unpublished() -> u64 {
+    clock::model_hooks::nontx_tick_unpublished(clock::now())
+}
+
+/// Reader-side validation of one witnessed stamp: extending by re-reading
+/// the clock must produce `rv >= witness`, and an `rv` that covers the
 /// stamp must also observe the writer's pre-tick lock (the property that
 /// lets TL2 readers accept `version <= rv` without revalidating).
-/// Returns the witnessed stamp (0 if the writer had not stamped yet).
-fn validate_witness(var: &Var, policy: ClockPolicy) -> u64 {
+fn validate_witness(var: &Var) {
     let witness = var.stamp.load(Ordering::SeqCst);
     if witness == 0 {
         // The writer has not stamped yet in this interleaving; a real
         // reader would accept the pre-commit version. Nothing to check.
-        return 0;
+        return;
     }
-    let (rv, _) = clock::refresh(policy, witness);
+    let rv = clock::now();
     assert!(
         rv >= witness,
-        "refresh returned rv {rv} below witnessed stamp {witness}"
+        "extension rv {rv} below witnessed stamp {witness}: \
+         the clock does not cover a witnessed stamp"
     );
     assert_eq!(
         var.lock.load(Ordering::SeqCst),
         1,
         "rv covers a writer's wv but its pre-tick write-set lock is not visible"
     );
-    witness
 }
 
-/// Sloppy clock: two writers stamp without an RMW (their `wv`s may be
-/// equal); a reader that witnesses either stamp extends through `refresh`,
-/// which must CAS-bump the shared word up to the witness.
-fn sloppy_witness_extends(e: &mut Exec) {
+/// A transactional and a non-transactional writer race a reader that
+/// witnesses both stamps.
+fn witnessed_stamps_are_covered(e: &mut Exec, nontx: fn() -> u64) {
     let a = Var::new();
     let b = Var::new();
 
-    spawn_writer(e, &a, ClockPolicy::Sloppy);
-    spawn_writer(e, &b, ClockPolicy::Sloppy);
+    spawn_writer(e, &a, clock::tick);
+    spawn_writer(e, &b, nontx);
 
     e.spawn(move || {
-        let wa = validate_witness(&a, ClockPolicy::Sloppy);
-        let wb = validate_witness(&b, ClockPolicy::Sloppy);
-        // Lazy clock progress: once a stamp is witnessed, the shared word
-        // itself (not just this reader's rv) covers it, so later readers
-        // start with a covering rv for free. (Only stamps this reader
-        // actually witnessed count — a writer may stamp after the loads
-        // above.)
-        assert!(
-            clock::now() >= wa.max(wb),
-            "a witnessed sloppy stamp was not bumped into the shared word"
-        );
+        validate_witness(&a);
+        validate_witness(&b);
     });
 }
 
 #[test]
-fn sloppy_witnessed_stamps_are_covered_by_refresh() {
+fn gv2_witnessed_stamps_are_covered_by_the_clock() {
     let _g = serialize();
-    check("sloppy-witness-extends", opts(), sloppy_witness_extends);
-}
-
-/// Sharded clock: the writer publishes `wv` to its shard cell inside
-/// `tick`, before stamping. A reader that witnesses the stamp and
-/// max-merges must therefore cover it — unless (`skip_writer_shard`, the
-/// seeded clock-skew bug) the merge skips the writer's cell.
-fn sharded_merge_covers_stamp(e: &mut Exec, skip_writer_shard: bool) {
-    let var = Var::new();
-    let shard = Arc::new(AtomicUsize::new(usize::MAX));
-
-    let (var_w, shard_w) = (Arc::clone(&var), Arc::clone(&shard));
-    e.spawn(move || {
-        // Publish which cell this writer's tick stamps through, so the
-        // skewed reader can skip exactly that one.
-        shard_w.store(clock::model_hooks::my_shard_index(), Ordering::SeqCst);
-        let rv = clock::now();
-        var_w.lock.store(1, Ordering::SeqCst);
-        let wv = clock::tick(ClockPolicy::Sharded, rv, 0);
-        var_w.stamp.store(wv, Ordering::SeqCst);
-    });
-
-    e.spawn(move || {
-        if skip_writer_shard {
-            let witness = var.stamp.load(Ordering::SeqCst);
-            if witness == 0 {
-                return;
-            }
-            // BUG (deliberate): extend through a merge that misses the
-            // writer's shard cell. The writer's wv exceeds every other
-            // cell (tick max-merges them all first), so this rv is stuck
-            // below the witnessed stamp — the reader would accept a
-            // version above its snapshot without revalidation.
-            let rv = clock::model_hooks::merged_skipping(shard.load(Ordering::SeqCst));
-            assert!(
-                rv >= witness,
-                "skewed merge left rv {rv} below witnessed stamp {witness}: \
-                 the merge does not cover a published wv"
-            );
-        } else {
-            validate_witness(&var, ClockPolicy::Sharded);
-        }
+    check("gv2-witness-covered", opts(), |e| {
+        witnessed_stamps_are_covered(e, nontx_stamp)
     });
 }
 
+/// Regression model: with the non-transactional stamp unpublished (the
+/// seeded bug), the model must observe a reader whose extension leaves
+/// `rv` below a witnessed stamp. Guards the model's sensitivity — if this
+/// stops failing, the green model above proves nothing.
 #[test]
-fn sharded_witnessed_stamps_are_covered_by_merge() {
+fn model_catches_unpublished_nontx_stamp() {
     let _g = serialize();
-    check("sharded-merge-covers-stamp", opts(), |e| {
-        sharded_merge_covers_stamp(e, false)
+    let violation = check_expect_violation(opts(), |e| {
+        witnessed_stamps_are_covered(e, nontx_stamp_unpublished)
     });
-}
-
-/// Regression model: with the shard-skipping merge (the seeded clock-skew
-/// bug), the model must observe a reader whose extension misses a
-/// published `wv`. Guards the model's sensitivity — if this stops
-/// failing, the green sharded model above proves nothing.
-#[test]
-fn model_catches_shard_skipping_merge() {
-    let _g = serialize();
-    let violation = check_expect_violation(opts(), |e| sharded_merge_covers_stamp(e, true));
-    let (seed, msg) =
-        violation.expect("the clock model no longer catches a shard-skipping merge; re-tune it");
+    let (seed, msg) = violation
+        .expect("the clock model no longer catches an unpublished nontx stamp; re-tune it");
     assert!(
-        msg.contains("does not cover a published wv"),
-        "expected the merge-coverage assertion, got (seed {seed}): {msg}"
+        msg.contains("does not cover a witnessed stamp"),
+        "expected the clock-coverage assertion, got (seed {seed}): {msg}"
     );
 }

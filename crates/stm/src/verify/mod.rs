@@ -9,10 +9,10 @@
 //!   asserts the model *catches* it.
 //! * [`quiesce_model`] — a committing writer's quiescence vs. an in-flight
 //!   older transaction's write-back, at the `Registry` protocol level.
-//! * [`clock_model`] — the sloppy and sharded commit clocks'
-//!   publish-before-stamp / merge-covers-witness ordering, plus the seeded
-//!   clock-skew regression (a merge that skips the writer's shard) the
-//!   checker must catch.
+//! * [`clock_model`] — the GV2 clock covers every stamp a reader can
+//!   witness (transactional ticks and non-transactional stamps alike),
+//!   plus the seeded regression (a non-transactional stamp never published
+//!   to the clock word) the checker must catch.
 //!
 //! Run with:
 //!

@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ad_stm::{DeferExecCfg, EventKind, Runtime, TVar, TmConfig};
+use ad_stm::{EventKind, Runtime, TVar, TmConfig};
 
 fn pool_rt() -> Runtime {
     Runtime::new(TmConfig::stm().with_defer_pool(2, 16))
@@ -168,10 +168,7 @@ fn pool_backpressure_falls_back_to_inline() {
     // arrive back-to-back, so the queue fills after two offloads and later
     // batches must take the inline-fallback path instead of blocking the
     // committer. Every batch still runs exactly once, wherever it ran.
-    let rt = Runtime::new(TmConfig::stm().with_defer_exec(DeferExecCfg::Pool {
-        workers: 1,
-        queue_cap: 1,
-    }));
+    let rt = Runtime::new(TmConfig::stm().with_defer_pool(1, 1));
     let ran = Arc::new(AtomicUsize::new(0));
     for _ in 0..8 {
         let ran = Arc::clone(&ran);

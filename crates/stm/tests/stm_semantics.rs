@@ -672,67 +672,27 @@ fn configured_tiny_trace_ring_reports_drops() {
 }
 
 #[test]
-fn trace_spill_makes_a_tiny_ring_lossless() {
-    // The same overloaded 4-event ring, but with `with_trace_spill(true)`:
-    // overwritten events are rescued to the heap, so the drained trace
-    // reports zero drops and the spill shows up in both `Trace::spilled`
-    // and the `trace_spilled_events` stats counter.
-    let rt = Runtime::new(TmConfig::stm().with_trace_ring(4).with_trace_spill(true));
-    rt.set_tracing(true);
-    let v = TVar::new(0u64);
-    for _ in 0..50 {
-        let v2 = v.clone();
-        rt.atomically(move |tx| {
-            let x = tx.read(&v2)?;
-            tx.write(&v2, x + 1)
-        });
-    }
-    let t = rt.take_trace();
-    assert_eq!(t.dropped, 0, "spill must rescue every overwritten event");
-    assert!(
-        t.spilled > 0,
-        "50 transactions must overflow a 4-event ring"
-    );
-    assert!(t.events.len() >= 100, "all lifecycle events survive");
-    // Per-thread sequences are gap-free — nothing was silently lost.
-    let seqs: Vec<u64> = t
-        .events
-        .iter()
-        .filter(|e| e.thread == t.events[0].thread)
-        .map(|e| e.seq)
-        .collect();
-    assert_eq!(seqs, (1..=seqs.len() as u64).collect::<Vec<u64>>());
-    assert_eq!(rt.stats().trace_spilled_events, t.spilled);
-    assert!(rt
-        .snapshot_stats()
-        .to_json()
-        .contains("\"trace_spilled_events\""));
-    assert_eq!(v.load(), 50);
-}
-
-#[test]
-fn cross_runtime_merge_with_a_spilled_ring_stays_deduplicated_and_gap_free() {
+fn cross_runtime_merge_of_mid_stream_drains_stays_deduplicated_and_gap_free() {
     // The multi-runtime contract `ad-shard` relies on: merging one
-    // runtime whose tiny ring spilled with a second, roomy runtime must
-    // (a) keep both runtimes' provenance tags, (b) lose nothing from the
-    // spilled runtime — per-thread sequences stay contiguous from 1 —
-    // and (c) contain no duplicate `(runtime, thread, seq)` identity even
-    // though a spill-enabled ring can hand the same event to the spill
-    // rescue *and* a drain (the documented double-report race).
+    // runtime drained twice, mid-stream and at the end, with a second
+    // runtime must (a) keep both runtimes' provenance tags, (b) lose
+    // nothing — per-thread sequences stay contiguous from 1 across the
+    // two drains — and (c) contain no duplicate `(runtime, thread, seq)`
+    // identity: a drain never hands an event to the next drain again.
     use ad_stm::Trace;
 
-    let spilly = Runtime::new(TmConfig::stm().with_trace_ring(4).with_trace_spill(true));
+    let drained = Runtime::new(TmConfig::stm());
     let roomy = Runtime::new(TmConfig::stm());
-    spilly.set_tracing(true);
+    drained.set_tracing(true);
     roomy.set_tracing(true);
     let v = TVar::new(0u64);
     let w = TVar::new(0u64);
-    // Interleave commits on the two runtimes, draining the spilled one
-    // mid-stream so the final merge has to collapse overlapping drains.
+    // Interleave commits on the two runtimes, draining the first one
+    // mid-stream so the final merge spans two drains of the same rings.
     let mut partial = Vec::new();
     for i in 0..50u64 {
         let v2 = v.clone();
-        spilly.atomically(move |tx| {
+        drained.atomically(move |tx| {
             let x = tx.read(&v2)?;
             tx.write(&v2, x + 1)
         });
@@ -742,11 +702,12 @@ fn cross_runtime_merge_with_a_spilled_ring_stays_deduplicated_and_gap_free() {
             tx.write(&w2, x + 1)
         });
         if i == 25 {
-            partial.push(spilly.take_trace());
+            partial.push(drained.take_trace());
         }
     }
-    partial.push(spilly.take_trace());
+    partial.push(drained.take_trace());
     partial.push(roomy.take_trace());
+    let drained_events: usize = partial.iter().map(|t| t.events.len()).sum();
     let merged = Trace::merge(partial);
 
     assert_eq!(
@@ -754,13 +715,19 @@ fn cross_runtime_merge_with_a_spilled_ring_stays_deduplicated_and_gap_free() {
         2,
         "both runtimes tagged in the merged timeline"
     );
-    assert_eq!(merged.dropped, 0, "spill rescues every overwritten event");
+    assert_eq!(merged.dropped, 0, "no ring wrapped");
     assert!(
-        merged.spilled > 0,
-        "100 events must overflow a 4-event ring"
+        merged.events.len() >= 200,
+        "every lifecycle event of 100 transactions survives"
     );
 
-    // (c) deduplicated: the identity triple is globally unique.
+    // (c) deduplicated: the identity triple is globally unique, and no
+    // event reached the merge twice.
+    assert_eq!(
+        merged.events.len(),
+        drained_events,
+        "two drains reported the same event identity"
+    );
     let mut ids: Vec<(u64, u32, u64)> = merged
         .events
         .iter()
